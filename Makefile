@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench vet fmt-check check
+.PHONY: all build test race bench bench-plan vet fmt-check check
 
 all: build test
 
@@ -36,6 +36,12 @@ race-all:
 # rework (mutex ring vs per-edge SPSC fan-in, and the dispatch path).
 bench:
 	$(GO) test -bench 'PutGet|EngineDispatch' -benchtime 1s -run xxx ./internal/queue/ ./internal/engine/
+
+# bench-plan runs the planner microbenchmarks: one model evaluation of
+# LR's final Server A plan (bound and full) and one branch-and-bound
+# placement search for it, with allocations reported.
+bench-plan:
+	$(GO) test -bench 'ModelEvaluate|BnBOptimize' -benchmem -run xxx ./internal/model/ ./internal/bnb/
 
 # bench-json runs the benchmark apps (the paper's four plus the
 # windowed TW) on the real engine across the GOMAXPROCS x replication

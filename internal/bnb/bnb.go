@@ -22,8 +22,8 @@ package bnb
 
 import (
 	"errors"
-	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"briskstream/internal/model"
@@ -84,12 +84,16 @@ func Optimize(eg *plan.ExecGraph, cfg *model.Config, bc Config) (*Result, error)
 	pairs := eg.Pairs()
 	res := &Result{}
 
-	root := &node{placement: plan.NewPlacement()}
-	rootEval, err := model.Evaluate(eg, root.placement, cfg, model.Options{Bound: true})
+	// Every node is evaluated against the same graph and configuration:
+	// compile the model once.
+	ev, err := model.Compile(eg, cfg)
 	if err != nil {
 		return nil, err
 	}
-	root.bound = rootEval.Throughput
+	root := &node{placement: plan.Unplaced(eg)}
+	if root.bound, err = ev.Bound(root.placement); err != nil {
+		return nil, err
+	}
 
 	var best *plan.Placement
 	var bestEval *model.Result
@@ -99,15 +103,18 @@ func Optimize(eg *plan.ExecGraph, cfg *model.Config, bc Config) (*Result, error)
 	// placement so bound-based pruning is active from the first node.
 	if bc.WarmStart {
 		if p := greedyPlacement(eg, cfg); p != nil {
-			if ev, err := model.Evaluate(eg, p, cfg, model.Options{}); err == nil && ev.Feasible() {
-				best, bestEval, bestValue = p, ev, ev.Throughput
+			if full, err := model.Evaluate(eg, p, cfg, model.Options{}); err == nil && full.Feasible() {
+				best, bestEval, bestValue = p, full, full.Throughput
 			}
 		}
 	}
 
 	// visited detects identical partial placements reached through
-	// different decision orders (redundancy elimination, heuristic 2).
+	// different decision orders (redundancy elimination, heuristic 2),
+	// keyed by the placement's exact encoding.
 	visited := map[string]bool{}
+	var key []byte
+	var kids []child
 
 	stack := []*node{root}
 	for len(stack) > 0 && res.Explored < limit {
@@ -120,12 +127,12 @@ func Optimize(eg *plan.ExecGraph, cfg *model.Config, bc Config) (*Result, error)
 			continue
 		}
 		if !bc.NoDedup {
-			sig := placementSignature(eg, n.placement)
-			if visited[sig] {
+			key = n.placement.AppendKey(key[:0])
+			if visited[string(key)] {
 				res.Deduped++
 				continue
 			}
-			visited[sig] = true
+			visited[string(key)] = true
 		}
 
 		// Advance past decisions whose endpoints are both placed
@@ -139,32 +146,35 @@ func Optimize(eg *plan.ExecGraph, cfg *model.Config, bc Config) (*Result, error)
 			// All decisions resolved. Any vertex not covered by an edge
 			// pair cannot exist in a validated graph, so the placement
 			// is complete; accept it if valid.
-			full, err := model.Evaluate(eg, n.placement, cfg, model.Options{})
+			full, err := ev.EvaluateScratch(n.placement, model.Options{})
 			if err != nil {
 				continue
 			}
 			if full.Feasible() && full.Throughput > bestValue {
-				bestValue = full.Throughput
+				// A new incumbent: keep an evaluation of its own.
+				if bestEval, err = model.Evaluate(eg, n.placement, cfg, model.Options{}); err != nil {
+					return nil, err
+				}
+				bestValue = bestEval.Throughput
 				best = n.placement
-				bestEval = full
 			}
 			continue
 		}
 
-		children, err := branch(eg, cfg, n, pairs, next)
-		if err != nil {
+		if kids, err = branch(kids, eg, cfg, ev, n, pairs, next); err != nil {
 			return nil, err
 		}
 		// Push worse children first so the most promising is explored
 		// next (DFS best-first hybrid): better incumbents earlier mean
-		// more pruning later.
-		sort.Slice(children, func(i, j int) bool { return children[i].bound < children[j].bound })
-		for _, c := range children {
+		// more pruning later. Only pushed children get a placement.
+		sort.Slice(kids, func(i, j int) bool { return kids[i].bound < kids[j].bound })
+		for i := range kids {
+			c := &kids[i]
 			if bestValue >= 0 && c.bound <= bestValue {
 				res.Pruned++
 				continue
 			}
-			stack = append(stack, c)
+			stack = append(stack, &node{placement: c.apply(n.placement), next: next, bound: c.bound})
 		}
 	}
 	res.Elapsed = time.Since(start)
@@ -176,24 +186,10 @@ func Optimize(eg *plan.ExecGraph, cfg *model.Config, bc Config) (*Result, error)
 	return res, nil
 }
 
-// placementSignature canonically encodes a (partial) placement.
-func placementSignature(eg *plan.ExecGraph, p *plan.Placement) string {
-	buf := make([]byte, len(eg.Vertices))
-	for i := range eg.Vertices {
-		s, ok := p.SocketOf(plan.VertexID(i))
-		if !ok {
-			buf[i] = 0xFF
-		} else {
-			buf[i] = byte(s)
-		}
-	}
-	return string(buf)
-}
-
 // greedyPlacement produces a quick feasible-if-possible placement for
 // the warm start: topological first-fit with the sustained-demand gate.
 func greedyPlacement(eg *plan.ExecGraph, cfg *model.Config) *plan.Placement {
-	p := plan.NewPlacement()
+	p := plan.Unplaced(eg)
 	for _, id := range eg.TopoOrder() {
 		cur, err := model.Evaluate(eg, p, cfg, model.Options{Bound: true})
 		if err != nil {
@@ -228,15 +224,33 @@ func bothPlaced(p *plan.Placement, pair [2]plan.VertexID) bool {
 	return a && b
 }
 
-// branch generates the children of n for the collocation decision
-// pairs[next] = (producer, consumer).
-func branch(eg *plan.ExecGraph, cfg *model.Config, n *node, pairs [][2]plan.VertexID, next int) ([]*node, error) {
+// child is one candidate of a branching step: the first n vertices of
+// vs go to socket s, with the bound that placement achieves.
+type child struct {
+	vs    [2]plan.VertexID
+	n     int
+	s     int
+	bound float64
+}
+
+// apply returns a copy of parent with c's vertices placed.
+func (c *child) apply(parent *plan.Placement) *plan.Placement {
+	p := parent.Clone()
+	for _, v := range c.vs[:c.n] {
+		p.Place(v, numa.SocketID(c.s))
+	}
+	return p
+}
+
+// branch overwrites kids with the children of n for the collocation
+// decision pairs[next] = (producer, consumer).
+func branch(kids []child, eg *plan.ExecGraph, cfg *model.Config, ev *model.Evaluator, n *node, pairs [][2]plan.VertexID, next int) ([]child, error) {
 	prod, cons := pairs[next][0], pairs[next][1]
 	m := cfg.Machine
 
 	// Evaluate the current partial placement once: child feasibility
 	// gates and best-fit use its rates and socket usage.
-	cur, err := model.Evaluate(eg, n.placement, cfg, model.Options{Bound: true})
+	cur, err := ev.EvaluateScratch(n.placement, model.Options{Bound: true})
 	if err != nil {
 		return nil, err
 	}
@@ -244,70 +258,62 @@ func branch(eg *plan.ExecGraph, cfg *model.Config, n *node, pairs [][2]plan.Vert
 	_, prodPlaced := n.placement.SocketOf(prod)
 	_, consPlaced := n.placement.SocketOf(cons)
 
-	// Candidate placements for the pair, expressed as vertex->socket
-	// assignments to add.
-	type assign struct{ pairs [][2]int } // (vertexID, socket)
-	var candidates []assign
-
-	reps := socketRepresentatives(eg, cfg, n.placement, cur)
-	switch {
-	case !prodPlaced && !consPlaced:
+	both := child{vs: [2]plan.VertexID{prod, cons}, n: 2}
+	prodOnly := child{vs: [2]plan.VertexID{prod}, n: 1}
+	consOnly := child{vs: [2]plan.VertexID{cons}, n: 1}
+	kids = kids[:0]
+	// add appends the candidate c on each representative socket that
+	// passes the fit gate (every one when gated is false).
+	add := func(c child, reps []int, gated bool) {
 		for _, s := range reps {
-			if fits(eg, cfg, cur, n.placement, s, prod, cons) {
-				candidates = append(candidates, assign{pairs: [][2]int{{int(prod), s}, {int(cons), s}}})
-			}
-		}
-		// Decision not satisfied: place the producer alone; the consumer
-		// stays open for a later decision.
-		for _, s := range reps {
-			if fits(eg, cfg, cur, n.placement, s, prod) {
-				candidates = append(candidates, assign{pairs: [][2]int{{int(prod), s}}})
-			}
-		}
-	case prodPlaced && !consPlaced:
-		for _, s := range reps {
-			if fits(eg, cfg, cur, n.placement, s, cons) {
-				candidates = append(candidates, assign{pairs: [][2]int{{int(cons), s}}})
-			}
-		}
-	case !prodPlaced && consPlaced:
-		for _, s := range reps {
-			if fits(eg, cfg, cur, n.placement, s, prod) {
-				candidates = append(candidates, assign{pairs: [][2]int{{int(prod), s}}})
+			if !gated || fits(eg, cfg, cur, n.placement, s, c.vs[:c.n]...) {
+				c.s = s
+				kids = append(kids, c)
 			}
 		}
 	}
-	if len(candidates) == 0 {
+
+	var repBuf [16]int
+	reps := socketRepresentatives(repBuf[:0], eg, cfg, n.placement, cur)
+	switch {
+	case !prodPlaced && !consPlaced:
+		add(both, reps, true)
+		// Decision not satisfied: place the producer alone; the consumer
+		// stays open for a later decision.
+		add(prodOnly, reps, true)
+	case prodPlaced && !consPlaced:
+		add(consOnly, reps, true)
+	case !prodPlaced && consPlaced:
+		add(prodOnly, reps, true)
+	}
+	if len(kids) == 0 {
 		// Constraint-gated dead end: relax the fit gate so search can
 		// continue; the full evaluation at the leaf still rejects
 		// genuinely infeasible plans.
 		switch {
 		case !prodPlaced && !consPlaced:
-			for _, s := range reps {
-				candidates = append(candidates, assign{pairs: [][2]int{{int(prod), s}, {int(cons), s}}})
-			}
+			add(both, reps, false)
 		case prodPlaced && !consPlaced:
-			for _, s := range reps {
-				candidates = append(candidates, assign{pairs: [][2]int{{int(cons), s}}})
-			}
+			add(consOnly, reps, false)
 		default:
-			for _, s := range reps {
-				candidates = append(candidates, assign{pairs: [][2]int{{int(prod), s}}})
-			}
+			add(prodOnly, reps, false)
 		}
 	}
 
-	children := make([]*node, 0, len(candidates))
-	for _, c := range candidates {
-		p := n.placement.Clone()
-		for _, a := range c.pairs {
-			p.Place(plan.VertexID(a[0]), numa.SocketID(a[1]))
+	// Bound each child by placing its vertices into n's placement (they
+	// are all unplaced there) and taking them out again.
+	for i := range kids {
+		c := &kids[i]
+		for _, v := range c.vs[:c.n] {
+			n.placement.Place(v, numa.SocketID(c.s))
 		}
-		ev, err := model.Evaluate(eg, p, cfg, model.Options{Bound: true})
+		c.bound, err = ev.Bound(n.placement)
+		for _, v := range c.vs[:c.n] {
+			n.placement.Unplace(v)
+		}
 		if err != nil {
 			return nil, err
 		}
-		children = append(children, &node{placement: p, next: next, bound: ev.Throughput})
 	}
 
 	// Best-fit heuristic: when every predecessor of the consumer is
@@ -320,19 +326,19 @@ func branch(eg *plan.ExecGraph, cfg *model.Config, n *node, pairs [][2]plan.Vert
 	// needs, which is exactly the local-optimum trap the paper observes
 	// in FF (Section 6.4).
 	if prodPlaced && !consPlaced && len(eg.Out(cons)) == 0 &&
-		allPredecessorsPlaced(eg, n.placement, cons) && len(children) > 1 {
+		allPredecessorsPlaced(eg, n.placement, cons) && len(kids) > 1 {
 		bestIdx, bestBound := 0, -1.0
 		var bestRemain float64
-		for i, c := range children {
-			s, _ := c.placement.SocketOf(cons)
-			remain := m.CyclesPerSocket - cur.CPUUsed[s]
+		for i, c := range kids {
+			remain := m.CyclesPerSocket - cur.CPUUsed[c.s] // c places cons on c.s
 			if c.bound > bestBound+1e-9 || (c.bound > bestBound-1e-9 && remain < bestRemain) {
 				bestIdx, bestBound, bestRemain = i, c.bound, remain
 			}
 		}
-		children = children[bestIdx : bestIdx+1]
+		kids[0] = kids[bestIdx]
+		kids = kids[:1]
 	}
-	return children, nil
+	return kids, nil
 }
 
 // allPredecessorsPlaced reports whether every producer of v is placed.
@@ -356,7 +362,7 @@ func fits(eg *plan.ExecGraph, cfg *model.Config, cur *model.Result, p *plan.Plac
 	cpu := cur.CPUUsed[s]
 	bw := cur.BWUsed[s]
 	for _, v := range vs {
-		cpuD, bwD := demandAt(eg, cfg, cur, p, v, numa.SocketID(s), vs)
+		cpuD, bwD := demandAt(eg, cfg, cur, p, v, numa.SocketID(s))
 		cpu += cpuD
 		bw += bwD
 	}
@@ -366,24 +372,24 @@ func fits(eg *plan.ExecGraph, cfg *model.Config, cur *model.Result, p *plan.Plac
 // demandAt estimates the CPU (ns/s) and memory-bandwidth (bytes/s)
 // demand of vertex v if placed on socket s, charging Formula 2 for every
 // producer that is already placed elsewhere. Producers being co-assigned
-// in the same branching step (group) count as residing on s.
-func demandAt(eg *plan.ExecGraph, cfg *model.Config, cur *model.Result, p *plan.Placement, v plan.VertexID, s numa.SocketID, group []plan.VertexID) (cpu, bw float64) {
+// in the same branching step are still unplaced in p and so count as
+// residing on s.
+func demandAt(eg *plan.ExecGraph, cfg *model.Config, cur *model.Result, p *plan.Placement, v plan.VertexID, s numa.SocketID) (cpu, bw float64) {
 	vtx := eg.Vertex(v)
 	st := cfg.Stats[vtx.Op]
 	vr := cur.Rates[v]
 	t := st.Te
 	if vr.In > 0 {
 		var weighted float64
-		for from, rate := range vr.InBy {
-			fsock, placed := p.SocketOf(from)
+		for _, in := range vr.InBy {
+			fsock, placed := p.SocketOf(in.From)
 			if !placed {
-				if inGroup(from, group) {
-					continue // co-assigned to s: local
-				}
-				continue // unplaced: optimistic zero (bound semantics)
+				// Co-assigned to s in this step (local) or still open
+				// (optimistic zero, bound semantics): no fetch cost.
+				continue
 			}
 			if fsock != s {
-				weighted += rate * cfg.Machine.FetchCost(int(st.N), fsock, s)
+				weighted += in.Rate * cfg.Machine.FetchCost(int(st.N), fsock, s)
 			}
 		}
 		t += weighted / vr.In
@@ -402,49 +408,65 @@ func demandAt(eg *plan.ExecGraph, cfg *model.Config, cur *model.Result, p *plan.
 	return processed * t, processed * st.M
 }
 
-func inGroup(v plan.VertexID, group []plan.VertexID) bool {
-	for _, g := range group {
-		if g == v {
-			return true
-		}
-	}
-	return false
+// socketKey is a socket's load signature: its CPU and bandwidth load
+// formatted at %.6g. A %.6g rendering is at most 13 bytes
+// ("-1.23457e+308"), so it always fits in place and the NUL padding
+// makes == on keys equal to equality of the rendered strings.
+type socketKey struct{ cpu, bw [16]byte }
+
+func loadKey(cur *model.Result, s int) socketKey {
+	var k socketKey
+	strconv.AppendFloat(k.cpu[:0], cur.CPUUsed[s], 'g', 6, 64)
+	strconv.AppendFloat(k.bw[:0], cur.BWUsed[s], 'g', 6, 64)
+	return k
 }
 
-// socketRepresentatives returns one socket per equivalence class
-// (redundancy elimination). Two sockets are interchangeable when they
-// carry identical CPU/bandwidth load and sit at identical NUMA distance
-// from every socket currently in use.
-func socketRepresentatives(eg *plan.ExecGraph, cfg *model.Config, p *plan.Placement, cur *model.Result) []int {
+// socketRepresentatives appends to dst one socket per equivalence class
+// (redundancy elimination), the lowest-numbered member of each. Two
+// sockets are interchangeable when they carry the same CPU and bandwidth
+// load (equal at %.6g) and sit at equal NUMA latency from every socket
+// currently in use.
+func socketRepresentatives(dst []int, eg *plan.ExecGraph, cfg *model.Config, p *plan.Placement, cur *model.Result) []int {
 	m := cfg.Machine
-	used := map[numa.SocketID]bool{}
+	var usedBuf [16]bool
+	used := usedBuf[:]
+	if m.Sockets > len(used) {
+		used = make([]bool, m.Sockets)
+	}
+	used = used[:m.Sockets]
 	for _, v := range eg.Vertices {
 		if s, ok := p.SocketOf(v.ID); ok {
 			used[s] = true
 		}
 	}
-	var usedList []int
-	for s := range used {
-		usedList = append(usedList, int(s))
-	}
-	sort.Ints(usedList)
 
-	seen := map[string]bool{}
-	var reps []int
+	var keyBuf [16]socketKey
+	keys := keyBuf[:0]
+	first := len(dst)
 	for s := 0; s < m.Sockets; s++ {
-		sig := signature(m, cur, s, usedList)
-		if !seen[sig] {
-			seen[sig] = true
-			reps = append(reps, s)
+		k := loadKey(cur, s)
+		dup := false
+		for i, r := range dst[first:] {
+			if keys[i] == k && sameLatencies(m, s, r, used) {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			dst = append(dst, s)
+			keys = append(keys, k)
 		}
 	}
-	return reps
+	return dst
 }
 
-func signature(m *numa.Machine, cur *model.Result, s int, usedList []int) string {
-	sig := fmt.Sprintf("%.6g|%.6g", cur.CPUUsed[s], cur.BWUsed[s])
-	for _, u := range usedList {
-		sig += fmt.Sprintf("|%g", m.L(numa.SocketID(s), numa.SocketID(u)))
+// sameLatencies reports whether sockets a and b sit at equal latency
+// from every used socket.
+func sameLatencies(m *numa.Machine, a, b int, used []bool) bool {
+	for u, ok := range used {
+		if ok && m.L(numa.SocketID(a), numa.SocketID(u)) != m.L(numa.SocketID(b), numa.SocketID(u)) {
+			return false
+		}
 	}
-	return sig
+	return true
 }

@@ -1,6 +1,9 @@
 package bnb
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"briskstream/internal/model"
@@ -88,24 +91,48 @@ func TestGreedyPlacementComplete(t *testing.T) {
 	}
 }
 
-// TestPlacementSignature: distinct placements get distinct signatures;
-// equal placements collide.
+// TestPlacementSignature: distinct placements get distinct visited-set
+// keys; equal placements collide.
 func TestPlacementSignature(t *testing.T) {
 	eg, _ := plan.Build(chain(t), nil, 1)
 	a := plan.NewPlacement()
 	a.Place(eg.Vertices[0].ID, 0)
 	b := plan.NewPlacement()
 	b.Place(eg.Vertices[0].ID, 0)
-	if placementSignature(eg, a) != placementSignature(eg, b) {
+	if string(a.AppendKey(nil)) != string(b.AppendKey(nil)) {
 		t.Error("identical placements have different signatures")
 	}
 	b.Place(eg.Vertices[1].ID, 1)
-	if placementSignature(eg, a) == placementSignature(eg, b) {
+	if string(a.AppendKey(nil)) == string(b.AppendKey(nil)) {
 		t.Error("different placements share a signature")
 	}
 	c := plan.NewPlacement()
 	c.Place(eg.Vertices[0].ID, 1)
-	if placementSignature(eg, a) == placementSignature(eg, c) {
+	if string(a.AppendKey(nil)) == string(c.AppendKey(nil)) {
 		t.Error("different sockets share a signature")
+	}
+}
+
+// TestLoadKeyMatchesSixDigits: two sockets share a load key exactly when
+// their loads print the same at %.6g, the precision at which socket
+// equivalence is defined.
+func TestLoadKeyMatchesSixDigits(t *testing.T) {
+	values := []float64{0, math.Copysign(0, -1), 1, 1.0000004, 1.0000006, 999999.4, 999999.6, 1e6,
+		-2.5e-7, 3.1e15, 3.1000004e15, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		x := rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(30)-10))
+		values = append(values, x, x*(1+rng.NormFloat64()*1e-6))
+	}
+	for i := 0; i+1 < len(values); i++ {
+		for _, pair := range [][2]float64{{values[i], values[i+1]}, {values[i], values[i]}} {
+			x, y := pair[0], pair[1]
+			cur := &model.Result{CPUUsed: []float64{x, y}, BWUsed: []float64{y, x}}
+			want := fmt.Sprintf("%.6g|%.6g", x, y) == fmt.Sprintf("%.6g|%.6g", y, x)
+			if got := loadKey(cur, 0) == loadKey(cur, 1); got != want {
+				t.Errorf("loads %v and %v: keys equal = %v, %%.6g equal = %v", x, y, got, want)
+			}
+		}
 	}
 }

@@ -54,12 +54,20 @@ type Config struct {
 // Saturated is a convenient "sufficiently large" ingress rate.
 const Saturated = 1e15
 
+// Input is one producer's share of a vertex's input rate.
+type Input struct {
+	From plan.VertexID
+	Rate float64 // tuples/sec
+}
+
 // VertexRate is the model's per-vertex output.
 type VertexRate struct {
 	// In is the total input rate ri (tuples/sec).
 	In float64
-	// InBy decomposes In by producer vertex: ri(s).
-	InBy map[plan.VertexID]float64
+	// InBy decomposes In by producer vertex, ri(s): one entry per
+	// producer, in the order of the producer's first in-edge. Sums over
+	// it therefore run in a fixed order and are reproducible bit for bit.
+	InBy []Input
 	// T is the effective per-tuple processing time Te + weighted Tf (ns).
 	T float64
 	// Tf is the input-weighted average fetch time component of T (ns).
@@ -75,20 +83,19 @@ type VertexRate struct {
 	// than its slowest consumer drains — the paper's footnote 2).
 	// Resource accounting (Eq. 3-5) uses Sustained.
 	Sustained float64
-	// Out maps output stream -> expected output rate (Processed times
-	// stream selectivity).
-	Out map[string]float64
 	// OverSupplied marks bottlenecks: In > Capacity (Case 1).
 	OverSupplied bool
 }
 
-// OutTotal sums expected output over all streams.
-func (v *VertexRate) OutTotal() float64 {
-	var t float64
-	for _, r := range v.Out {
-		t += r
+// InFrom returns the input rate arriving from producer id (0 if id does
+// not feed this vertex).
+func (v *VertexRate) InFrom(id plan.VertexID) float64 {
+	for _, in := range v.InBy {
+		if in.From == id {
+			return in.Rate
+		}
 	}
-	return t
+	return 0
 }
 
 // Violation describes one broken resource constraint.
@@ -141,82 +148,234 @@ type Options struct {
 // Evaluate runs the performance model for the given execution graph and
 // (possibly partial, when opts.Bound) placement.
 func Evaluate(eg *plan.ExecGraph, placement *plan.Placement, cfg *Config, opts Options) (*Result, error) {
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
+	}
+	if err := placement.Validate(eg, cfg.Machine, !opts.Bound); err != nil {
+		return nil, err
+	}
+	var ev Evaluator
+	if err := ev.resolve(eg, cfg); err != nil {
+		return nil, err
+	}
+	b := ev.newBuffers()
+	ev.run(b, placement)
+	return b.res, nil
+}
+
+// Evaluator is the performance model compiled for one execution graph
+// and configuration: every vertex's statistics, every in-edge's
+// selectivity and every spout's ingress share are resolved once, so a
+// search that evaluates thousands of placements of one graph does not
+// repeat the lookups; Bound and EvaluateScratch also reuse their
+// buffers across calls. An Evaluator is not safe for concurrent use, and
+// the graph and configuration must not change while it is in use.
+type Evaluator struct {
+	eg  *plan.ExecGraph
+	cfg *Config
+	// Per vertex, indexed by VertexID: the operator's Te, M and N, and
+	// the external input rate of spout vertices.
+	te, mem, size, ingress []float64
+	// sel holds the producer's selectivity on the edge's stream for
+	// every in-edge, consumers in topological order, each consumer's
+	// edges in eg.In order.
+	sel    []float64
+	maxLat float64
+
+	// The buffers Bound and EvaluateScratch reuse.
+	bound, scratch buffers
+}
+
+// Compile checks cfg and resolves it against eg.
+func Compile(eg *plan.ExecGraph, cfg *Config) (*Evaluator, error) {
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
+	}
+	ev := &Evaluator{}
+	if err := ev.resolve(eg, cfg); err != nil {
+		return nil, err
+	}
+	return ev, nil
+}
+
+// EvaluateScratch is Evaluate into a Result that ev owns and overwrites
+// on its next EvaluateScratch call, so a search can inspect a placement
+// without allocating. Keep nothing of it past that call.
+func (ev *Evaluator) EvaluateScratch(placement *plan.Placement, opts Options) (*Result, error) {
+	if err := placement.Validate(ev.eg, ev.cfg.Machine, !opts.Bound); err != nil {
+		return nil, err
+	}
+	b := &ev.scratch
+	if b.res == nil {
+		*b = ev.newBuffers()
+	} else {
+		clear(b.floats)
+		b.res.Bottlenecks = b.res.Bottlenecks[:0]
+		b.res.Violations = b.res.Violations[:0]
+	}
+	ev.run(*b, placement)
+	return b.res, nil
+}
+
+// Bound returns the throughput a bound evaluation (Options.Bound) of the
+// partial placement predicts, without the back-pressure pass and the
+// resource accounting that do not change it, and without allocating.
+func (ev *Evaluator) Bound(placement *plan.Placement) (float64, error) {
+	if err := placement.Validate(ev.eg, ev.cfg.Machine, false); err != nil {
+		return 0, err
+	}
+	if ev.bound.res == nil {
+		ev.bound = ev.newBuffers()
+	}
+	return ev.forward(placement, ev.bound.res.Rates, ev.bound.inputs), nil
+}
+
+// checkConfig validates the inputs that do not depend on the graph.
+func checkConfig(cfg *Config) error {
 	if cfg.Machine == nil {
-		return nil, fmt.Errorf("model: nil machine")
+		return fmt.Errorf("model: nil machine")
 	}
 	if err := cfg.Stats.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.Ingress <= 0 {
-		return nil, fmt.Errorf("model: ingress %v must be positive", cfg.Ingress)
+		return fmt.Errorf("model: ingress %v must be positive", cfg.Ingress)
 	}
-	if !opts.Bound {
-		if err := placement.Validate(eg, cfg.Machine, true); err != nil {
-			return nil, err
-		}
-	} else if err := placement.Validate(eg, cfg.Machine, false); err != nil {
-		return nil, err
-	}
+	return nil
+}
 
-	m := cfg.Machine
-	res := &Result{
-		Rates:       make([]VertexRate, len(eg.Vertices)),
-		CPUUsed:     make([]float64, m.Sockets),
-		BWUsed:      make([]float64, m.Sockets),
-		ChannelUsed: make([][]float64, m.Sockets),
-	}
-	for i := range res.ChannelUsed {
-		res.ChannelUsed[i] = make([]float64, m.Sockets)
-	}
-
-	// Total ingress is split across spout vertices by fused replica count.
-	spoutTotal := map[string]int{}
+// resolve fills ev for eg under cfg. A missing statistics entry is
+// reported for the first such vertex in topological order.
+func (ev *Evaluator) resolve(eg *plan.ExecGraph, cfg *Config) error {
+	n := len(eg.Vertices)
+	inEdges := 0
 	for _, v := range eg.Vertices {
-		if v.Spout {
-			spoutTotal[v.Op] += v.Count
-		}
+		inEdges += len(eg.In(v.ID))
 	}
-
-	maxLat := maxRemoteLatency(m)
-
+	f := make([]float64, 4*n+inEdges)
+	*ev = Evaluator{
+		eg:      eg,
+		cfg:     cfg,
+		te:      f[:n:n],
+		mem:     f[n : 2*n : 2*n],
+		size:    f[2*n : 3*n : 3*n],
+		ingress: f[3*n : 4*n : 4*n],
+		sel:     f[4*n:],
+		maxLat:  maxRemoteLatency(cfg.Machine),
+	}
+	k := 0
 	for _, id := range eg.TopoOrder() {
 		v := eg.Vertex(id)
 		st, ok := cfg.Stats[v.Op]
 		if !ok {
-			return nil, fmt.Errorf("model: no stats for operator %q", v.Op)
+			return fmt.Errorf("model: no stats for operator %q", v.Op)
 		}
-		vr := VertexRate{InBy: map[plan.VertexID]float64{}, Out: map[string]float64{}}
+		ev.te[id], ev.mem[id], ev.size[id] = st.Te, st.M, st.N
+		// Total ingress is split across spout vertices by fused replica
+		// count.
+		if v.Spout {
+			ev.ingress[id] = cfg.Ingress * float64(v.Count) / float64(opReplicas(eg, v.Op))
+		}
+		for _, e := range eg.In(id) {
+			ev.sel[k] = cfg.Stats[eg.Vertex(e.From).Op].Selectivity[e.Stream]
+			k++
+		}
+	}
+	return nil
+}
+
+// forward runs the model's forward pass (Formula 1 with the Formula 2
+// fetch penalty) over rates and inputs, which it overwrites, and returns
+// the throughput R. inputs must have capacity for one entry per in-edge.
+func (ev *Evaluator) forward(placement *plan.Placement, rates []VertexRate, inputs []Input) float64 {
+	eg := ev.eg
+	inputs = inputs[:0]
+	var throughput float64
+	k := 0
+	for _, id := range eg.TopoOrder() {
+		v := eg.Vertex(id)
+		in := eg.In(id)
+		sel := ev.sel[k : k+len(in)]
+		k += len(in)
+		vr := &rates[id]
+		*vr = VertexRate{}
 
 		// Input rate: external for spouts, producer output otherwise.
 		if v.Spout {
-			vr.In = cfg.Ingress * float64(v.Count) / float64(spoutTotal[v.Op])
+			vr.In = ev.ingress[id]
 		} else {
-			for _, e := range eg.In(id) {
-				share := res.Rates[e.From].Out[e.Stream] * e.Share
-				vr.InBy[e.From] += share
+			first := len(inputs)
+			for i, e := range in {
+				// The producer's output on e.Stream (processed rate x
+				// stream selectivity) times the edge's share of it.
+				out := rates[e.From].Processed * sel[i]
+				share := out * e.Share
+				inputs = addInput(inputs, first, e.From, share)
 				vr.In += share
 			}
+			vr.InBy = inputs[first:len(inputs):len(inputs)]
 		}
 
 		// Effective fetch time: input-weighted over producers (tuples are
 		// served first-come-first-serve with equal priority, so producers
 		// contribute in proportion to their arrival rates).
-		vr.Tf = fetchTime(eg, placement, cfg, id, &vr, maxLat)
-		vr.T = st.Te + vr.Tf
+		vr.Tf = ev.fetchTime(placement, v, vr)
+		vr.T = ev.te[id] + vr.Tf
 		vr.Capacity = float64(v.Count) * 1e9 / vr.T
 
 		vr.Processed = math.Min(vr.In, vr.Capacity)
 		vr.OverSupplied = vr.In > vr.Capacity*(1+1e-12)
-		for stream, sel := range st.Selectivity {
-			vr.Out[stream] = vr.Processed * sel
-		}
 		if v.Sink {
-			res.Throughput += vr.Processed
+			throughput += vr.Processed
 		}
-		if vr.OverSupplied {
-			res.Bottlenecks = append(res.Bottlenecks, id)
+	}
+	return throughput
+}
+
+// buffers is the storage of one full evaluation: the Result, one
+// backing array for the per-socket sums plus the backward pass's
+// scratch, and the backing array of every vertex's InBy.
+type buffers struct {
+	res    *Result
+	floats []float64
+	inputs []Input
+}
+
+func (ev *Evaluator) newBuffers() buffers {
+	n, sockets := len(ev.eg.Vertices), ev.cfg.Machine.Sockets
+	b := buffers{
+		floats: make([]float64, 2*sockets+sockets*sockets+n),
+		inputs: make([]Input, 0, len(ev.sel)),
+	}
+	b.res = &Result{
+		Rates:       make([]VertexRate, n),
+		CPUUsed:     b.floats[:sockets:sockets],
+		BWUsed:      b.floats[sockets : 2*sockets : 2*sockets],
+		ChannelUsed: make([][]float64, sockets),
+	}
+	for i := range b.res.ChannelUsed {
+		lo := 2*sockets + i*sockets
+		b.res.ChannelUsed[i] = b.floats[lo : lo+sockets : lo+sockets]
+	}
+	return b
+}
+
+// run evaluates placement into b, whose sums must be zero and whose
+// Bottlenecks and Violations must be empty.
+func (ev *Evaluator) run(b buffers, placement *plan.Placement) {
+	eg, m, res := ev.eg, ev.cfg.Machine, b.res
+	order := eg.TopoOrder()
+	sustainFrac := b.floats[2*m.Sockets+m.Sockets*m.Sockets:]
+
+	res.Throughput = ev.forward(placement, res.Rates, b.inputs)
+	for _, id := range order {
+		if !res.Rates[id].OverSupplied {
+			continue
 		}
-		res.Rates[id] = vr
+		if res.Bottlenecks == nil {
+			res.Bottlenecks = make([]plan.VertexID, 0, len(order))
+		}
+		res.Bottlenecks = append(res.Bottlenecks, id)
 	}
 
 	// Backward pass: back-pressure throttling. A vertex sustains only
@@ -224,8 +383,6 @@ func Evaluate(eg *plan.ExecGraph, placement *plan.Placement, cfg *Config, opts O
 	// drain; the factor compounds upstream (a saturated spout feeding an
 	// over-supplied pipeline does not burn a full core — the bounded
 	// queues stall it).
-	order := eg.TopoOrder()
-	sustainFrac := make([]float64, len(eg.Vertices))
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		vr := &res.Rates[id]
@@ -249,19 +406,18 @@ func Evaluate(eg *plan.ExecGraph, placement *plan.Placement, cfg *Config, opts O
 	// unplaced vertices under Bound.
 	for _, id := range order {
 		vr := &res.Rates[id]
-		st := cfg.Stats[eg.Vertex(id).Op]
 		sock, placed := placement.SocketOf(id)
 		if !placed {
 			continue
 		}
 		res.CPUUsed[sock] += vr.Sustained * vr.T
-		res.BWUsed[sock] += vr.Sustained * st.M
+		res.BWUsed[sock] += vr.Sustained * ev.mem[id]
 		if vr.In > 0 {
 			procShare := vr.Sustained / vr.In
-			for from, rate := range vr.InBy {
-				fsock, fplaced := placement.SocketOf(from)
+			for _, in := range vr.InBy {
+				fsock, fplaced := placement.SocketOf(in.From)
 				if fplaced && fsock != sock {
-					res.ChannelUsed[fsock][sock] += rate * procShare * st.N
+					res.ChannelUsed[fsock][sock] += in.Rate * procShare * ev.size[id]
 				}
 			}
 		}
@@ -285,41 +441,60 @@ func Evaluate(eg *plan.ExecGraph, placement *plan.Placement, cfg *Config, opts O
 			}
 		}
 	}
-	return res, nil
 }
 
-// fetchTime computes the input-weighted average Tf for vertex id under
+// fetchTime computes the input-weighted average Tf for vertex v under
 // the configured policy. Under Options.Bound semantics, any pair with an
 // unplaced endpoint is treated as collocated (Tf contribution 0), which
 // is what makes the bounding function an upper bound.
-func fetchTime(eg *plan.ExecGraph, placement *plan.Placement, cfg *Config, id plan.VertexID, vr *VertexRate, maxLat float64) float64 {
-	st := cfg.Stats[eg.Vertex(id).Op]
-	switch cfg.Policy {
+func (ev *Evaluator) fetchTime(placement *plan.Placement, v *plan.Vertex, vr *VertexRate) float64 {
+	switch ev.cfg.Policy {
 	case TfZero:
 		return 0
 	case TfWorstCase:
-		if eg.Vertex(id).Spout {
+		if v.Spout {
 			return 0
 		}
-		lines := math.Ceil(st.N / numa.CacheLineSize)
-		return lines * maxLat
+		lines := math.Ceil(ev.size[v.ID] / numa.CacheLineSize)
+		return lines * ev.maxLat
 	}
 	if vr.In <= 0 {
 		return 0
 	}
-	sock, placed := placement.SocketOf(id)
+	sock, placed := placement.SocketOf(v.ID)
 	if !placed {
 		return 0
 	}
 	var weighted float64
-	for from, rate := range vr.InBy {
-		fsock, fplaced := placement.SocketOf(from)
+	for _, in := range vr.InBy {
+		fsock, fplaced := placement.SocketOf(in.From)
 		if !fplaced || fsock == sock {
 			continue
 		}
-		weighted += rate * cfg.Machine.FetchCost(int(st.N), fsock, sock)
+		weighted += in.Rate * ev.cfg.Machine.FetchCost(int(ev.size[v.ID]), fsock, sock)
 	}
 	return weighted / vr.In
+}
+
+// addInput adds rate to producer from's entry in inputs[first:],
+// appending the entry on the producer's first edge.
+func addInput(inputs []Input, first int, from plan.VertexID, rate float64) []Input {
+	for i := first; i < len(inputs); i++ {
+		if inputs[i].From == from {
+			inputs[i].Rate += rate
+			return inputs
+		}
+	}
+	return append(inputs, Input{From: from, Rate: rate})
+}
+
+// opReplicas sums the fused replica counts of op's vertices.
+func opReplicas(eg *plan.ExecGraph, op string) int {
+	total := 0
+	for _, v := range eg.OfOp(op) {
+		total += v.Count
+	}
+	return total
 }
 
 func maxRemoteLatency(m *numa.Machine) float64 {

@@ -57,18 +57,18 @@ func TestPerProducerDecomposition(t *testing.T) {
 
 	// InBy must decompose In exactly.
 	var sum float64
-	for _, v := range r.Rates[sink].InBy {
-		sum += v
+	for _, in := range r.Rates[sink].InBy {
+		sum += in.Rate
 	}
 	if math.Abs(sum-r.Rates[sink].In) > 1e-6 {
 		t.Errorf("InBy sums to %v, In = %v", sum, r.Rates[sink].In)
 	}
 	// Fast path: spout emits 5e6 on each stream (1e7 cap x 0.5 sel);
 	// fast forwards all 5e6; slow is capped at 5e5.
-	if got := r.Rates[sink].InBy[fast]; math.Abs(got-5e6) > 1 {
+	if got := r.Rates[sink].InFrom(fast); math.Abs(got-5e6) > 1 {
 		t.Errorf("sink input from fast = %v, want 5e6", got)
 	}
-	if got := r.Rates[sink].InBy[slow]; math.Abs(got-5e5) > 1 {
+	if got := r.Rates[sink].InFrom(slow); math.Abs(got-5e5) > 1 {
 		t.Errorf("sink input from slow = %v, want 5e5", got)
 	}
 }
@@ -96,7 +96,7 @@ func TestWeightedTfByArrivalShare(t *testing.T) {
 	// Arrivals: 5e6 local (fast) + ~4.54e5 remote (slow, slowed by its
 	// own remote fetch). Expected Tf = remoteShare x 200.
 	slowID := eg.OfOp("slow")[0].ID
-	remoteShare := vr.InBy[slowID] / vr.In
+	remoteShare := vr.InFrom(slowID) / vr.In
 	want := remoteShare * 200
 	if math.Abs(vr.Tf-want) > 1e-6 {
 		t.Errorf("sink Tf = %v, want %v (share %v)", vr.Tf, want, remoteShare)

@@ -6,7 +6,9 @@
 package plan
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -49,25 +51,33 @@ type ExecGraph struct {
 	Replication map[string]int // logical operator -> total replicas
 	Ratio       int            // compress ratio used to build the graph
 
-	out  map[VertexID][]Edge
-	in   map[VertexID][]Edge
-	byOp map[string][]*Vertex
+	// Compressed adjacency: the out-edges of vertex v are
+	// outEdges[outOff[v]:outOff[v+1]], its in-edges likewise, each list
+	// in Build's edge order.
+	outEdges, inEdges []Edge
+	outOff, inOff     []int32
+	byOp              map[string][]*Vertex
+	topo              []VertexID
 }
 
 // Build expands the logical graph under the given replication
 // configuration (operator name -> replica count; absent means 1) and
 // compress ratio. Replicas of one operator are fused into
-// ceil(replicas/ratio) vertices with counts as even as possible.
+// ceil(replicas/ratio) vertices with counts as even as possible. The
+// topological order and the per-vertex adjacency are computed here,
+// once; the accessors below only read them.
 func Build(app *graph.Graph, replication map[string]int, ratio int) (*ExecGraph, error) {
 	if ratio < 1 {
 		return nil, fmt.Errorf("plan: compress ratio %d < 1", ratio)
+	}
+	logical, err := app.TopoSort()
+	if err != nil {
+		return nil, fmt.Errorf("plan: %w", err)
 	}
 	eg := &ExecGraph{
 		App:         app,
 		Replication: map[string]int{},
 		Ratio:       ratio,
-		out:         map[VertexID][]Edge{},
-		in:          map[VertexID][]Edge{},
 		byOp:        map[string][]*Vertex{},
 	}
 	for _, n := range app.Nodes() {
@@ -95,38 +105,72 @@ func Build(app *graph.Graph, replication map[string]int, ratio int) (*ExecGraph,
 			eg.byOp[n.Name] = append(eg.byOp[n.Name], v)
 		}
 	}
-	for _, le := range app.Edges() {
+	eg.topo = make([]VertexID, 0, len(eg.Vertices))
+	for _, op := range logical {
+		for _, v := range eg.byOp[op] {
+			eg.topo = append(eg.topo, v.ID)
+		}
+	}
+
+	// Count each vertex's edges, turn the counts into offsets, then
+	// place every edge at its vertex's next free slot.
+	n := len(eg.Vertices)
+	eg.outOff = make([]int32, n+1)
+	eg.inOff = make([]int32, n+1)
+	eg.expand(func(e Edge) {
+		eg.outOff[e.From+1]++
+		eg.inOff[e.To+1]++
+	})
+	for v := 0; v < n; v++ {
+		eg.outOff[v+1] += eg.outOff[v]
+		eg.inOff[v+1] += eg.inOff[v]
+	}
+	eg.outEdges = make([]Edge, eg.outOff[n])
+	eg.inEdges = make([]Edge, eg.inOff[n])
+	outNext := slices.Clone(eg.outOff[:n])
+	inNext := slices.Clone(eg.inOff[:n])
+	eg.expand(func(e Edge) {
+		eg.outEdges[outNext[e.From]] = e
+		outNext[e.From]++
+		eg.inEdges[inNext[e.To]] = e
+		inNext[e.To]++
+	})
+	return eg, nil
+}
+
+// expand calls emit for every replica-level edge, in logical-edge order
+// and within one logical edge by producer, then consumer.
+func (eg *ExecGraph) expand(emit func(Edge)) {
+	for _, le := range eg.App.Edges() {
 		prods := eg.byOp[le.From]
 		cons := eg.byOp[le.To]
 		total := eg.Replication[le.To]
 		for _, p := range prods {
 			switch le.Partitioning {
 			case graph.Global:
-				eg.addEdge(Edge{From: p.ID, To: cons[0].ID, Stream: le.Stream, Share: 1})
+				emit(Edge{From: p.ID, To: cons[0].ID, Stream: le.Stream, Share: 1})
 			case graph.Broadcast:
 				for _, c := range cons {
-					eg.addEdge(Edge{From: p.ID, To: c.ID, Stream: le.Stream, Share: float64(c.Count)})
+					emit(Edge{From: p.ID, To: c.ID, Stream: le.Stream, Share: float64(c.Count)})
 				}
 			default: // Shuffle, Fields: split in proportion to fused size
 				for _, c := range cons {
-					eg.addEdge(Edge{From: p.ID, To: c.ID, Stream: le.Stream, Share: float64(c.Count) / float64(total)})
+					emit(Edge{From: p.ID, To: c.ID, Stream: le.Stream, Share: float64(c.Count) / float64(total)})
 				}
 			}
 		}
 	}
-	return eg, nil
-}
-
-func (eg *ExecGraph) addEdge(e Edge) {
-	eg.out[e.From] = append(eg.out[e.From], e)
-	eg.in[e.To] = append(eg.in[e.To], e)
 }
 
 // Out returns the outgoing edges of a vertex.
-func (eg *ExecGraph) Out(id VertexID) []Edge { return eg.out[id] }
+func (eg *ExecGraph) Out(id VertexID) []Edge {
+	return eg.outEdges[eg.outOff[id]:eg.outOff[id+1]:eg.outOff[id+1]]
+}
 
 // In returns the incoming edges of a vertex.
-func (eg *ExecGraph) In(id VertexID) []Edge { return eg.in[id] }
+func (eg *ExecGraph) In(id VertexID) []Edge {
+	return eg.inEdges[eg.inOff[id]:eg.inOff[id+1]:eg.inOff[id+1]]
+}
 
 // Vertex returns the vertex with the given id.
 func (eg *ExecGraph) Vertex(id VertexID) *Vertex { return eg.Vertices[id] }
@@ -144,22 +188,9 @@ func (eg *ExecGraph) TotalReplicas() int {
 }
 
 // TopoOrder returns vertex ids topologically ordered (producers first),
-// derived from the logical order so it never fails on a validated app.
-func (eg *ExecGraph) TopoOrder() []VertexID {
-	logical, err := eg.App.TopoSort()
-	if err != nil {
-		// Build is only called on validated graphs; a cycle here is a
-		// programming error.
-		panic(fmt.Sprintf("plan: logical graph no longer acyclic: %v", err))
-	}
-	var out []VertexID
-	for _, op := range logical {
-		for _, v := range eg.byOp[op] {
-			out = append(out, v.ID)
-		}
-	}
-	return out
-}
+// derived from the logical order at Build time. The slice is shared by
+// every caller: read it, never modify it.
+func (eg *ExecGraph) TopoOrder() []VertexID { return eg.topo }
 
 // Pairs returns every producer-consumer vertex pair with a direct edge,
 // in deterministic order. This is the collocation-decision list of the
@@ -167,8 +198,8 @@ func (eg *ExecGraph) TopoOrder() []VertexID {
 func (eg *ExecGraph) Pairs() [][2]VertexID {
 	seen := map[[2]VertexID]bool{}
 	var out [][2]VertexID
-	for _, id := range eg.TopoOrder() {
-		for _, e := range eg.out[id] {
+	for _, id := range eg.topo {
+		for _, e := range eg.Out(id) {
 			k := [2]VertexID{e.From, e.To}
 			if !seen[k] {
 				seen[k] = true
@@ -179,41 +210,84 @@ func (eg *ExecGraph) Pairs() [][2]VertexID {
 	return out
 }
 
-// Placement maps vertices to sockets. Unplaced vertices are absent.
+// Placement maps vertices to sockets: a dense per-vertex socket slice
+// indexed by VertexID, with -1 marking an unplaced vertex.
 type Placement struct {
-	socketOf map[VertexID]numa.SocketID
+	socketOf []numa.SocketID
+	placed   int
 }
 
-// NewPlacement returns an empty placement.
-func NewPlacement() *Placement {
-	return &Placement{socketOf: map[VertexID]numa.SocketID{}}
+// unplaced marks a vertex without a socket.
+const unplaced numa.SocketID = -1
+
+// NewPlacement returns an empty placement; it grows as vertices are
+// placed. Unplaced(eg) sizes it for a graph up front.
+func NewPlacement() *Placement { return &Placement{} }
+
+// Unplaced returns a placement of eg with every vertex unplaced.
+func Unplaced(eg *ExecGraph) *Placement {
+	p := &Placement{socketOf: make([]numa.SocketID, len(eg.Vertices))}
+	for i := range p.socketOf {
+		p.socketOf[i] = unplaced
+	}
+	return p
 }
 
-// Place assigns a vertex to a socket.
-func (p *Placement) Place(v VertexID, s numa.SocketID) { p.socketOf[v] = s }
+// Place assigns a vertex (id >= 0) to a socket; socket -1 unplaces it.
+func (p *Placement) Place(v VertexID, s numa.SocketID) {
+	if s == unplaced {
+		p.Unplace(v)
+		return
+	}
+	for int(v) >= len(p.socketOf) {
+		p.socketOf = append(p.socketOf, unplaced)
+	}
+	if p.socketOf[v] == unplaced {
+		p.placed++
+	}
+	p.socketOf[v] = s
+}
 
 // Unplace removes a vertex's assignment.
-func (p *Placement) Unplace(v VertexID) { delete(p.socketOf, v) }
+func (p *Placement) Unplace(v VertexID) {
+	if int(v) < len(p.socketOf) && p.socketOf[v] != unplaced {
+		p.socketOf[v] = unplaced
+		p.placed--
+	}
+}
 
 // SocketOf returns the socket of v and whether v is placed.
 func (p *Placement) SocketOf(v VertexID) (numa.SocketID, bool) {
-	s, ok := p.socketOf[v]
-	return s, ok
+	if int(v) >= len(p.socketOf) || p.socketOf[v] == unplaced {
+		return 0, false
+	}
+	return p.socketOf[v], true
 }
 
 // Placed returns the number of placed vertices.
-func (p *Placement) Placed() int { return len(p.socketOf) }
+func (p *Placement) Placed() int { return p.placed }
 
 // Complete reports whether all vertices of eg are placed.
-func (p *Placement) Complete(eg *ExecGraph) bool { return len(p.socketOf) == len(eg.Vertices) }
+func (p *Placement) Complete(eg *ExecGraph) bool { return p.placed == len(eg.Vertices) }
 
-// Clone deep-copies the placement.
+// Clone copies the placement.
 func (p *Placement) Clone() *Placement {
-	c := NewPlacement()
-	for k, v := range p.socketOf {
-		c.socketOf[k] = v
+	return &Placement{socketOf: slices.Clone(p.socketOf), placed: p.placed}
+}
+
+// AppendKey appends an exact encoding of the placement to buf: one
+// uvarint of socket+1 (0 = unplaced) per vertex, up to the last placed
+// one. Two placements get the same key iff they place the same vertices
+// on the same sockets.
+func (p *Placement) AppendKey(buf []byte) []byte {
+	n := len(p.socketOf)
+	for n > 0 && p.socketOf[n-1] == unplaced {
+		n--
 	}
-	return c
+	for _, s := range p.socketOf[:n] {
+		buf = binary.AppendUvarint(buf, uint64(s+1))
+	}
+	return buf
 }
 
 // Validate checks that every placed vertex refers to a valid vertex and
@@ -221,7 +295,10 @@ func (p *Placement) Clone() *Placement {
 // once — the "allocated exactly once" constraint of Section 3.2.
 func (p *Placement) Validate(eg *ExecGraph, m *numa.Machine, requireComplete bool) error {
 	for id, s := range p.socketOf {
-		if int(id) < 0 || int(id) >= len(eg.Vertices) {
+		if s == unplaced {
+			continue
+		}
+		if id >= len(eg.Vertices) {
 			return fmt.Errorf("plan: placement refers to unknown vertex %d", id)
 		}
 		if int(s) < 0 || int(s) >= m.Sockets {
@@ -229,7 +306,7 @@ func (p *Placement) Validate(eg *ExecGraph, m *numa.Machine, requireComplete boo
 		}
 	}
 	if requireComplete && !p.Complete(eg) {
-		return fmt.Errorf("plan: only %d of %d vertices placed", len(p.socketOf), len(eg.Vertices))
+		return fmt.Errorf("plan: only %d of %d vertices placed", p.placed, len(eg.Vertices))
 	}
 	return nil
 }
@@ -238,7 +315,9 @@ func (p *Placement) Validate(eg *ExecGraph, m *numa.Machine, requireComplete boo
 func (p *Placement) String(eg *ExecGraph) string {
 	bySocket := map[numa.SocketID][]string{}
 	for id, s := range p.socketOf {
-		bySocket[s] = append(bySocket[s], eg.Vertex(id).Label())
+		if s != unplaced {
+			bySocket[s] = append(bySocket[s], eg.Vertex(VertexID(id)).Label())
+		}
 	}
 	var sockets []int
 	for s := range bySocket {
@@ -276,9 +355,5 @@ func (pl *Plan) Validate() error {
 // CollocateAll returns a placement putting every vertex on socket 0 —
 // the initial node of the branch-and-bound search.
 func CollocateAll(eg *ExecGraph) *Placement {
-	p := NewPlacement()
-	for _, v := range eg.Vertices {
-		p.Place(v.ID, 0)
-	}
-	return p
+	return &Placement{socketOf: make([]numa.SocketID, len(eg.Vertices)), placed: len(eg.Vertices)}
 }

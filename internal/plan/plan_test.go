@@ -184,6 +184,10 @@ func TestTopoOrderAndPairs(t *testing.T) {
 			}
 		}
 	}
+	// The order is computed once, in Build, and shared.
+	if allocs := testing.AllocsPerRun(10, func() { eg.TopoOrder() }); allocs != 0 {
+		t.Errorf("TopoOrder allocates %v times per call, want 0", allocs)
+	}
 	pairs := eg.Pairs()
 	// spout->parser(2) + parser(2)->splitter + splitter->counter + counter->sink = 2+2+1+1 = 6.
 	if len(pairs) != 6 {

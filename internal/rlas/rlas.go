@@ -35,7 +35,7 @@ type Config struct {
 	// MaxTotalReplicas caps the summed replication level. Default: the
 	// machine's total core count.
 	MaxTotalReplicas int
-	// MaxIterations caps scaling rounds (default 64).
+	// MaxIterations caps scaling rounds (default 128).
 	MaxIterations int
 	// Initial seeds the replication configuration (default: all 1). The
 	// paper notes starting from a reasonably large DAG reduces scaling

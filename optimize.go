@@ -65,7 +65,7 @@ type OptimizeConfig struct {
 	// SearchNodeLimit caps the branch-and-bound search per placement
 	// round (default 1500).
 	SearchNodeLimit int
-	// MaxIterations caps scaling rounds (default 40).
+	// MaxIterations caps scaling rounds (default 128).
 	MaxIterations int
 	// FixedSpouts pins spout replication during bottleneck scaling —
 	// required when the plan must be adoptable by a running engine
