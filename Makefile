@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-plan vet fmt-check check
+.PHONY: all build test race bench bench-plan bench-ckpt vet fmt-check check
 
 all: build test
 
@@ -42,6 +42,13 @@ bench:
 # placement search for it, with allocations reported.
 bench-plan:
 	$(GO) test -bench 'ModelEvaluate|BnBOptimize' -benchmem -run xxx ./internal/model/ ./internal/bnb/
+
+# bench-ckpt runs the checkpoint layer microbenchmarks: one
+# SaveOrdered of a 50k-entry keyed store (steady state, with 1% new
+# keys, and after a Clear) and one FileStore.Save of a 1.2 MB
+# checkpoint, with allocations reported.
+bench-ckpt:
+	$(GO) test -bench 'SnapshotKeyed|FileStoreSave' -benchmem -run xxx ./internal/checkpoint/
 
 # bench-json runs the benchmark apps (the paper's four plus the
 # windowed TW) on the real engine across the GOMAXPROCS x replication

@@ -134,6 +134,10 @@ func obsSelfCheck() error {
 		"brisk_task_queue_depth",
 		"brisk_latency_rolling_ns",
 		"brisk_checkpoints_completed_total",
+		"brisk_checkpoint_snapshot_seconds",
+		"brisk_checkpoint_snapshot_bytes",
+		"brisk_checkpoint_align_seconds",
+		"brisk_task_queue_wait_tuples_total",
 		"brisk_sym_count",
 	} {
 		if !strings.Contains(body, want) {

@@ -509,31 +509,38 @@ func (o *lrAccidentNotify) Restore(dec *checkpoint.Decoder) error {
 }
 
 // lrAccountBalance answers (rare) balance queries from running account
-// state.
+// state. Its key set grows with every distinct vehicle that asks, so it
+// lives in a keyed store whose snapshot order is kept between
+// checkpoints: the sink aligns on this task's barrier.
 type lrAccountBalance struct {
-	balances map[int64]float64
+	balances *state.Map[int64, float64]
 }
 
 func (o *lrAccountBalance) Process(c engine.Collector, t *tuple.Tuple) error {
 	v := t.Int(1)
-	o.balances[v] += 0.5
+	b, created := o.balances.GetOrCreate(v)
+	if created {
+		*b = 0
+	}
+	*b += 0.5
 	out := c.Borrow()
 	out.AppendInt(v)
-	out.AppendFloat(o.balances[v])
+	out.AppendFloat(*b)
 	c.Send(out)
 	return nil
 }
 
 func (o *lrAccountBalance) Snapshot(enc *checkpoint.Encoder) error {
-	checkpoint.SaveMapOrdered(enc, o.balances,
+	checkpoint.SaveOrdered(enc, o.balances,
 		func(e *checkpoint.Encoder, k int64) { e.Int64(k) },
-		func(e *checkpoint.Encoder, v float64) { e.Float64(v) })
+		func(e *checkpoint.Encoder, v *float64) { e.Float64(*v) })
 	return nil
 }
 
 func (o *lrAccountBalance) Restore(dec *checkpoint.Decoder) error {
-	return checkpoint.LoadMapOrdered(dec, o.balances,
-		(*checkpoint.Decoder).Int64, (*checkpoint.Decoder).Float64)
+	return checkpoint.LoadOrdered(dec, o.balances,
+		(*checkpoint.Decoder).Int64,
+		func(d *checkpoint.Decoder, v *float64) { *v = d.Float64() })
 }
 
 // lrDispatch routes records by type: position reports (the bulk) on
@@ -710,7 +717,7 @@ func lrOperators() map[string]func() engine.Operator {
 			})
 		},
 		"account_balance": func() engine.Operator {
-			return &lrAccountBalance{balances: map[int64]float64{}}
+			return &lrAccountBalance{balances: state.NewMap[int64, float64]()}
 		},
 		"sink": sink,
 	}

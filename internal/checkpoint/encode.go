@@ -20,6 +20,12 @@ type Encoder struct {
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
+// NewEncoderSize returns an empty encoder with room for n bytes, so a
+// payload of up to that size is encoded without growing (and copying)
+// the buffer on the way. The engine sizes each task's snapshot encoder
+// by that task's previous snapshot.
+func NewEncoderSize(n int) *Encoder { return &Encoder{buf: make([]byte, 0, n)} }
+
 // Bytes returns the encoded payload. The slice aliases the encoder's
 // buffer; callers that keep it past Reset must copy.
 func (e *Encoder) Bytes() []byte { return e.buf }

@@ -126,7 +126,8 @@ func (e *Engine) Restore() (uint64, error) {
 // the barrier behind everything the source has emitted so far.
 func (e *Engine) sourceBarrier(t *task, c *collector, id uint64) error {
 	t.lastCkpt = id
-	enc := checkpoint.NewEncoder()
+	began := time.Now()
+	enc := t.snapshotEncoder()
 	if rs, ok := t.spout.(ReplayableSpout); ok {
 		enc.Bool(true)
 		enc.Int64(rs.Offset())
@@ -141,10 +142,30 @@ func (e *Engine) sourceBarrier(t *task, c *collector, id uint64) error {
 	} else {
 		enc.Bool(false)
 	}
+	t.snapshotTaken(enc, began)
 	if err := e.coord.Ack(id, t.label, enc.Bytes()); err != nil {
 		return err
 	}
 	return e.broadcastPunct(t, barrierStreamID, int64(id), c.latencyTs())
+}
+
+// snapshotEncoder returns the encoder for the task's next snapshot,
+// sized by its previous one plus an eighth for growth. The payload
+// itself cannot be reused — the coordinator and the store keep it — but
+// starting at the right size spares a megabyte-scale snapshot the
+// copies and garbage of growing its buffer from empty.
+func (t *task) snapshotEncoder() *checkpoint.Encoder {
+	n := int(t.snapBytes.Load())
+	return checkpoint.NewEncoderSize(n + n/8)
+}
+
+// snapshotTaken records one snapshot's size and the time since began
+// (the snapshot and its encoding).
+func (t *task) snapshotTaken(enc *checkpoint.Encoder, began time.Time) {
+	t.snapBytes.Store(int64(len(enc.Bytes())))
+	if t.snapHist != nil {
+		t.snapHist.Observe(float64(time.Since(began).Nanoseconds()))
+	}
 }
 
 // retireTask hands the coordinator a naturally finished task's final
@@ -215,6 +236,7 @@ func (e *Engine) handleBarrier(t *task, c *collector, id uint64, producer int) e
 		}
 		t.alignID = id
 		t.alignLeft = 0
+		t.alignStart = time.Now()
 		clear(t.alignSeen)
 		// Done producers count as pre-aligned: they will never send this
 		// (or any) barrier.
@@ -282,7 +304,11 @@ func (e *Engine) completeAlignment(t *task, c *collector) error {
 	t.alignLeft = 0
 	clear(t.alignSeen)
 	t.lastCkpt = id
-	enc := checkpoint.NewEncoder()
+	began := time.Now()
+	if t.alignHist != nil {
+		t.alignHist.Observe(float64(began.Sub(t.alignStart).Nanoseconds()))
+	}
+	enc := t.snapshotEncoder()
 	// The task watermark is part of the cut: restoring it keeps
 	// late-tuple semantics identical across the replay.
 	enc.Int64(t.tm.wm)
@@ -294,6 +320,7 @@ func (e *Engine) completeAlignment(t *task, c *collector) error {
 	} else {
 		enc.Bool(false)
 	}
+	t.snapshotTaken(enc, began)
 	if e.coord != nil {
 		if err := e.coord.Ack(id, t.label, enc.Bytes()); err != nil {
 			return err

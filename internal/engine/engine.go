@@ -440,6 +440,16 @@ type task struct {
 	// alignment already completed (or was superseded) is recognized as
 	// stale and skipped.
 	alignSeq uint32
+	// alignStart is when the first barrier of the alignment in progress
+	// arrived; alignHist (nil without RegisterObs) receives the time from
+	// it to the completed alignment. snapHist receives each snapshot's
+	// encode time, and snapBytes holds the size of the task's latest
+	// snapshot: the gauge reads it, and the next snapshot's encoder is
+	// sized by it.
+	alignStart time.Time
+	alignHist  *obs.Histogram
+	snapHist   *obs.Histogram
+	snapBytes  atomic.Int64
 	// doneIn marks producer tasks that finished (EOF) and so will never
 	// emit another barrier: alignment skips them — the barrier analogue
 	// of the watermark path's idle-source exclusion — or a checkpoint
@@ -458,12 +468,12 @@ type task struct {
 	serviceSamples uint64
 	inBytes        uint64
 	// Queue-wait attribution (atomically updated like the profiling
-	// counters): cumulative nanoseconds the task's input batches spent
-	// in its communication queue, and how many batches that covers. One
-	// clock read per jumbo — every tuple's queueing is attributed
-	// without any per-tuple cost.
-	qwaitNs      uint64
-	qwaitBatches uint64
+	// counters): cumulative nanoseconds the task's input spent in its
+	// communication queue, weighted per tuple, and how many tuples that
+	// covers. One clock read per jumbo — every tuple's queueing is
+	// attributed without any per-tuple cost.
+	qwaitNs     uint64
+	qwaitTuples uint64
 	// spans is this task's trace span ring (nil without RegisterTrace);
 	// qwaitWin/svcWin are the rolling queue-wait and service-time
 	// windows (nil without RegisterObs). All written before Run starts.
@@ -1590,7 +1600,7 @@ func (e *Engine) Run(d time.Duration) (*Result, error) {
 		atomic.StoreUint64(&t.serviceSamples, 0)
 		atomic.StoreUint64(&t.inBytes, 0)
 		atomic.StoreUint64(&t.qwaitNs, 0)
-		atomic.StoreUint64(&t.qwaitBatches, 0)
+		atomic.StoreUint64(&t.qwaitTuples, 0)
 		t.tm.reset()
 		atomic.StoreInt64(&t.wmLive, WatermarkMin)
 		for i := range t.wmIn {
@@ -1889,7 +1899,7 @@ func (e *Engine) consumeJumbo(t *task, c *collector, j *tuple.Jumbo) error {
 		}
 		if n := uint64(j.Len()); n > 0 {
 			atomic.AddUint64(&t.qwaitNs, uint64(qwait)*n)
-			atomic.AddUint64(&t.qwaitBatches, n)
+			atomic.AddUint64(&t.qwaitTuples, n)
 		}
 		if t.qwaitWin != nil {
 			t.qwaitWin.Observe(float64(qwait))
@@ -2222,7 +2232,7 @@ func (e *Engine) ProfileSnapshot() profile.EngineSnapshot {
 			ServiceSamples: atomic.LoadUint64(&t.serviceSamples),
 			InBytes:        atomic.LoadUint64(&t.inBytes),
 			QueueWaitNs:    atomic.LoadUint64(&t.qwaitNs),
-			QueueWaitBatch: atomic.LoadUint64(&t.qwaitBatches),
+			QueueWaitBatch: atomic.LoadUint64(&t.qwaitTuples),
 		}
 		if t.in != nil {
 			ts.QueueDepth = t.in.Len()

@@ -81,11 +81,11 @@ func (e *Engine) RegisterObs(g *obs.Group, jr *obs.Journal) {
 		g.Counter("brisk_task_service_samples_total", "Sampled operator invocations per task (profiling).", tl, func() uint64 {
 			return atomic.LoadUint64(&t.serviceSamples)
 		})
-		g.Counter("brisk_task_queue_wait_ns_total", "Cumulative queue wait of the task's input, weighted per tuple (each input batch's wait counted once per tuple it carries, ns), so the ratio to the batches counter is a per-tuple mean comparable across batch sizes.", tl, func() uint64 {
+		g.Counter("brisk_task_queue_wait_ns_total", "Cumulative queue wait of the task's input, weighted per tuple (each input batch's wait counted once per tuple it carries, ns), so the ratio to the tuples counter is a per-tuple mean comparable across batch sizes.", tl, func() uint64 {
 			return atomic.LoadUint64(&t.qwaitNs)
 		})
-		g.Counter("brisk_task_queue_wait_batches_total", "Tuples covered by the queue-wait accounting this run (per-tuple weighted, matching the ns counter).", tl, func() uint64 {
-			return atomic.LoadUint64(&t.qwaitBatches)
+		g.Counter("brisk_task_queue_wait_tuples_total", "Tuples covered by the queue-wait accounting this run (matching the per-tuple weighted ns counter).", tl, func() uint64 {
+			return atomic.LoadUint64(&t.qwaitTuples)
 		})
 		if t.in != nil {
 			t.qwaitWin = g.ValueWindow("brisk_task_queue_wait_ns", "Rolling per-batch queue wait of the task's input (ns).", tl)
@@ -153,10 +153,24 @@ func (e *Engine) RegisterObs(g *obs.Group, jr *obs.Journal) {
 		g.Gauge("brisk_checkpoint_latest_id", "Highest completed checkpoint id.", nil, func() float64 {
 			return float64(e.coord.LatestID())
 		})
-		ckptDur := g.Histogram("brisk_checkpoint_duration_seconds", "Checkpoint begin-to-persist duration (s).", nil)
+		// Per-task checkpoint cost, updated once per checkpoint per task:
+		// how long the task paused to snapshot, how large its snapshot
+		// is, and how long its input stayed parked while its producer
+		// edges' barriers arrived.
+		for _, t := range e.tasks {
+			tl := []obs.L{{Key: "op", Value: t.op}, {Key: "task", Value: t.label}}
+			t.snapHist = g.DurationHistogram("brisk_checkpoint_snapshot_seconds", "Time the task spent taking and encoding its checkpoint snapshot (s).", tl)
+			g.Gauge("brisk_checkpoint_snapshot_bytes", "Size of the task's latest checkpoint snapshot (bytes).", tl, func() float64 {
+				return float64(t.snapBytes.Load())
+			})
+			if t.in != nil {
+				t.alignHist = g.DurationHistogram("brisk_checkpoint_align_seconds", "Time from the task's first checkpoint barrier to its completed alignment (s).", tl)
+			}
+		}
+		ckptDur := g.DurationHistogram("brisk_checkpoint_duration_seconds", "Checkpoint begin-to-persist duration (s).", nil)
 		e.coord.SetOnComplete(func(id uint64, began, done time.Time) {
 			d := done.Sub(began)
-			ckptDur.Observe(d.Seconds())
+			ckptDur.Observe(float64(d.Nanoseconds()))
 			e.event("checkpoint_complete", "", map[string]string{
 				"id":          strconv.FormatUint(id, 10),
 				"duration_ms": strconv.FormatInt(d.Milliseconds(), 10),

@@ -184,3 +184,78 @@ func TestObsRegisterReplacesSeries(t *testing.T) {
 		t.Fatalf("expected exactly one brisk_sink_tuples_total family after re-registration, got %d\n%s", n, b.String())
 	}
 }
+
+// TestCheckpointTelemetryPerTask: with checkpoints running, every task
+// reports its snapshot time and size once per checkpoint, and the
+// fan-in task reports how long its alignment parked input.
+func TestCheckpointTelemetryPerTask(t *testing.T) {
+	co := checkpoint.NewCoordinator(nil)
+	var spoutN atomic.Int64
+	topo := Topology{
+		App: sinkGraph(t, 1),
+		Spouts: map[string]func() Spout{"spout": func() Spout {
+			return &seqSpout{replica: spoutN.Add(1) - 1, limit: 1 << 62}
+		}},
+		Operators:   map[string]func() Operator{"agg": func() Operator { return newSumOp() }},
+		Replication: map[string]int{"spout": 2},
+	}
+	cfg := DefaultConfig()
+	cfg.Checkpoint = co
+	cfg.CheckpointInterval = 2 * time.Millisecond
+	e, err := New(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry(0)
+	e.RegisterObs(reg.Group("engine"), obs.NewJournal(0))
+	done := make(chan *Result, 1)
+	go func() {
+		res, _ := e.Run(0)
+		done <- res
+	}()
+	if !waitFor(10*time.Second, func() bool { return co.Completed() >= 3 }) {
+		t.Fatal("checkpoints did not complete")
+	}
+	e.Kill()
+	if res := <-done; len(res.Errors) != 0 {
+		t.Fatalf("run errors: %v", res.Errors)
+	}
+	completed := co.Completed()
+
+	var b strings.Builder
+	if err := reg.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	prom := b.String()
+	if err := obs.ValidateExposition([]byte(prom)); err != nil {
+		t.Fatal(err)
+	}
+	value := func(series string) float64 {
+		t.Helper()
+		for _, line := range strings.Split(prom, "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				var f float64
+				if _, err := fmt.Sscan(v, &f); err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("no series %s in\n%s", series, prom)
+		return 0
+	}
+	for _, task := range []string{`op="spout",task="spout#0"`, `op="spout",task="spout#1"`, `op="agg",task="agg#0"`} {
+		if n := value("brisk_checkpoint_snapshot_seconds_count{" + task + "}"); n < float64(completed) {
+			t.Errorf("%s: %v snapshots observed, %d checkpoints completed", task, n, completed)
+		}
+		if v := value("brisk_checkpoint_snapshot_bytes{" + task + "}"); v <= 0 {
+			t.Errorf("%s: snapshot bytes %v", task, v)
+		}
+	}
+	if n := value(`brisk_checkpoint_align_seconds_count{op="agg",task="agg#0"}`); n < float64(completed) {
+		t.Errorf("agg: %v alignments observed, %d checkpoints completed", n, completed)
+	}
+	if strings.Contains(prom, `brisk_checkpoint_align_seconds_count{op="spout"`) {
+		t.Error("spouts do not align, but report an alignment histogram")
+	}
+}

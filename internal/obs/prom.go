@@ -65,10 +65,10 @@ func writeHist(w io.Writer, e *entry) {
 			continue // rendered by the +Inf bucket below
 		}
 		fmt.Fprintf(w, "%s_bucket%s %d\n", e.name,
-			withLabel(e.labels, L{Key: "le", Value: formatFloat(BucketBound(i))}), cum)
+			withLabel(e.labels, L{Key: "le", Value: formatFloat(BucketBound(i) * e.histScale)}), cum)
 	}
 	fmt.Fprintf(w, "%s_bucket%s %d\n", e.name, withLabel(e.labels, L{Key: "le", Value: "+Inf"}), cum)
-	fmt.Fprintf(w, "%s_sum%s %s\n", e.name, e.labelStr, formatFloat(s.Sum))
+	fmt.Fprintf(w, "%s_sum%s %s\n", e.name, e.labelStr, formatFloat(s.Sum*e.histScale))
 	fmt.Fprintf(w, "%s_count%s %d\n", e.name, e.labelStr, cum)
 }
 

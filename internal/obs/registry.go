@@ -44,6 +44,7 @@ type entry struct {
 	gaugeFn    func() float64
 	counterFn  func() uint64
 	hist       *Histogram
+	histScale  float64 // histogram unit → exposed unit (1, or 1e-9 for ns → s)
 	win        *Window
 	src        func() uint64 // cumulative source feeding a rate window
 }
@@ -160,8 +161,21 @@ func (g *Group) Counter(name, help string, labels []L, fn func() uint64) {
 
 // Histogram registers and returns a push-based histogram series.
 func (g *Group) Histogram(name, help string, labels []L) *Histogram {
+	return g.histogram(name, help, labels, 1)
+}
+
+// DurationHistogram registers a histogram that is fed durations in
+// nanoseconds and exposed in seconds, the Prometheus base unit. The
+// bucket layout resolves values of 1 and up, so a histogram fed seconds
+// directly would lump every sub-second duration into its first bucket;
+// observing nanoseconds keeps ±12.5% resolution from 1 ns up.
+func (g *Group) DurationHistogram(name, help string, labels []L) *Histogram {
+	return g.histogram(name, help, labels, 1e-9)
+}
+
+func (g *Group) histogram(name, help string, labels []L, scale float64) *Histogram {
 	h := NewHistogram()
-	g.add(&entry{name: name, help: help, kind: kindHist, labels: labels, labelStr: renderLabels(labels), hist: h})
+	g.add(&entry{name: name, help: help, kind: kindHist, labels: labels, labelStr: renderLabels(labels), hist: h, histScale: scale})
 	return h
 }
 
@@ -231,10 +245,10 @@ func (r *Registry) Status() map[string]any {
 		case kindHist:
 			s := e.hist.Snapshot()
 			row["count"] = s.Count
-			row["sum"] = s.Sum
-			row["p50"] = s.Quantile(0.50)
-			row["p90"] = s.Quantile(0.90)
-			row["p99"] = s.Quantile(0.99)
+			row["sum"] = s.Sum * e.histScale
+			row["p50"] = s.Quantile(0.50) * e.histScale
+			row["p90"] = s.Quantile(0.90) * e.histScale
+			row["p99"] = s.Quantile(0.99) * e.histScale
 		case kindRateWindow:
 			rates := map[string]float64{}
 			for _, span := range r.windowSpans() {

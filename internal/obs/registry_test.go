@@ -104,3 +104,40 @@ func TestStatusJSONEncodes(t *testing.T) {
 		}
 	}
 }
+
+// TestDurationHistogramExposesSeconds: a duration histogram is fed
+// nanoseconds and exposes seconds, with sub-second buckets resolved
+// instead of lumped into the first (le=1) bucket.
+func TestDurationHistogramExposesSeconds(t *testing.T) {
+	r := NewRegistry(0)
+	g := r.Group("test")
+	h := g.DurationHistogram("brisk_pause_seconds", "Pauses (s).", nil)
+	h.Observe(float64(3 * time.Millisecond))
+	h.Observe(float64(20 * time.Millisecond))
+	var buf bytes.Buffer
+	if err := r.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if err := ValidateExposition(buf.Bytes()); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, out)
+	}
+	le3ms := formatFloat(BucketBound(bucketIndex(3e6)) * 1e-9)
+	for _, want := range []string{
+		`brisk_pause_seconds_bucket{le="` + le3ms + `"} 1`,
+		`brisk_pause_seconds_bucket{le="+Inf"} 2`,
+		`brisk_pause_seconds_sum 0.023`,
+		`brisk_pause_seconds_count 2`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, `le="1"`) {
+		t.Errorf("sub-second durations landed in the le=1 bucket\n%s", out)
+	}
+	row := r.Status()["series"].([]map[string]any)[0]
+	if p50 := row["p50"].(float64); p50 < 0.002 || p50 > 0.004 {
+		t.Errorf("status p50 = %v s, want about 0.003", p50)
+	}
+}

@@ -20,11 +20,29 @@ import "slices"
 // lives (the whole point of pooling).
 //
 // Map is not safe for concurrent use: like all operator state it
-// belongs to one task goroutine.
+// belongs to one task goroutine. Once RangeSorted has run, the Map also
+// keeps one (key, entry pointer) pair per key for the sorted order: 16
+// bytes per entry for int64 keys.
 type Map[K comparable, V any] struct {
 	m    map[K]*V
 	free []*V
-	keys []K // scratch for RangeSorted, reused across calls
+
+	// RangeSorted's order cache. While sorted is set, order holds every
+	// key that was live at the last sorted pass, with its entry, in that
+	// pass's order, and added holds the keys created since, so the next
+	// pass sorts only those and merges them in. Delete and Clear reset
+	// sorted, and the next pass rebuilds order from the map. Until the
+	// first pass nothing is tracked, so maps that are never ranged in
+	// order pay nothing.
+	order  []sortedEntry[K, V]
+	added  []K
+	sorted bool
+}
+
+// sortedEntry is one slot of the RangeSorted order cache.
+type sortedEntry[K comparable, V any] struct {
+	k K
+	e *V
 }
 
 // NewMap creates an empty store.
@@ -53,6 +71,9 @@ func (s *Map[K, V]) GetOrCreate(k K) (*V, bool) {
 		e = new(V)
 	}
 	s.m[k] = e
+	if s.sorted {
+		s.added = append(s.added, k)
+	}
 	return e, true
 }
 
@@ -65,6 +86,7 @@ func (s *Map[K, V]) Delete(k K) {
 	}
 	delete(s.m, k)
 	s.free = append(s.free, e)
+	s.sorted = false
 }
 
 // Len returns the number of live keys.
@@ -85,20 +107,71 @@ func (s *Map[K, V]) Range(f func(k K, e *V) bool) {
 // RangeSorted calls f for every live (key, entry) pair in the order
 // defined by compare, until f returns false. Snapshot encodings use it:
 // a checkpoint of keyed state must be byte-stable, and Range's Go map
-// order is not. The sorted key scratch is retained by the Map, so
-// steady-state calls allocate nothing once it has grown; f must not
-// create or delete keys mid-iteration.
+// order is not. f must not create or delete keys mid-iteration.
+//
+// The Map keeps the sorted order between calls, so a pass costs:
+//   - O(n), with no allocation, when no key was created or deleted
+//     since the previous pass;
+//   - O(n + a log a) when only a keys were created: the new keys are
+//     sorted and merged into the kept order;
+//   - a full O(n log n) sort after any Delete or Clear.
+//
+// compare may differ between calls. Before reusing the kept order, the
+// pass checks (n-1 compare calls) that it is still ascending under this
+// call's compare, and re-sorts from scratch if it is not.
 func (s *Map[K, V]) RangeSorted(compare func(a, b K) int, f func(k K, e *V) bool) {
-	s.keys = s.keys[:0]
-	for k := range s.m {
-		s.keys = append(s.keys, k)
+	switch {
+	case !s.sorted || !s.ascending(compare):
+		s.rebuild(compare)
+	case len(s.added) > 0:
+		s.mergeAdded(compare)
 	}
-	slices.SortFunc(s.keys, compare)
-	for _, k := range s.keys {
-		if !f(k, s.m[k]) {
+	for _, p := range s.order {
+		if !f(p.k, p.e) {
 			return
 		}
 	}
+}
+
+// ascending reports whether the kept order is sorted under compare.
+func (s *Map[K, V]) ascending(compare func(a, b K) int) bool {
+	for i := 1; i < len(s.order); i++ {
+		if compare(s.order[i-1].k, s.order[i].k) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// rebuild sorts every live (key, entry) pair into the order cache.
+func (s *Map[K, V]) rebuild(compare func(a, b K) int) {
+	s.order = s.order[:0]
+	for k, e := range s.m {
+		s.order = append(s.order, sortedEntry[K, V]{k, e})
+	}
+	slices.SortFunc(s.order, func(a, b sortedEntry[K, V]) int { return compare(a.k, b.k) })
+	s.added = s.added[:0]
+	s.sorted = true
+}
+
+// mergeAdded sorts the keys created since the last pass and merges them
+// into the kept order, back to front and in place.
+func (s *Map[K, V]) mergeAdded(compare func(a, b K) int) {
+	slices.SortFunc(s.added, compare)
+	n, a := len(s.order), len(s.added)
+	s.order = slices.Grow(s.order, a)[:n+a]
+	i := n - 1
+	for j, w := a-1, n+a-1; j >= 0; w-- {
+		if i >= 0 && compare(s.order[i].k, s.added[j]) > 0 {
+			s.order[w] = s.order[i]
+			i--
+		} else {
+			k := s.added[j]
+			s.order[w] = sortedEntry[K, V]{k, s.m[k]}
+			j--
+		}
+	}
+	s.added = s.added[:0]
 }
 
 // Clear removes every key, recycling all entries. The map's buckets and
@@ -108,4 +181,5 @@ func (s *Map[K, V]) Clear() {
 		delete(s.m, k)
 		s.free = append(s.free, e)
 	}
+	s.sorted = false
 }

@@ -1,7 +1,9 @@
 package state
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
@@ -171,12 +173,113 @@ func TestRangeSortedDeterministicOrder(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("early exit visited %d keys", n)
 	}
-	// The sorted scratch is retained: steady-state calls allocate only
-	// what the caller's closure does.
+	// The sorted order is kept: steady-state calls allocate only what
+	// the caller's closure does.
 	avg := testing.AllocsPerRun(100, func() {
 		a.RangeSorted(compare, func(string, *int) bool { return true })
 	})
 	if avg > 0 {
 		t.Errorf("RangeSorted allocates %.3f/op after warmup, want 0", avg)
+	}
+}
+
+// TestRangeSortedMatchesFreshSort is a randomized differential test of
+// the RangeSorted order cache: creates, deletes, clears, early-exit
+// passes and passes under a different compare are interleaved, and
+// every pass must visit exactly what a from-scratch sort of the live
+// keys gives, each key with its own entry.
+func TestRangeSortedMatchesFreshSort(t *testing.T) {
+	compares := []func(a, b int) int{
+		cmp.Compare[int],
+		func(a, b int) int { return cmp.Compare(b, a) },
+		func(a, b int) int {
+			if d := cmp.Compare(a%7, b%7); d != 0 {
+				return d
+			}
+			return cmp.Compare(a, b)
+		},
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewPCG(seed, 0))
+		s := NewMap[int, int]()
+		ref := map[int]bool{}
+		compare := compares[0]
+		keySpace := 50 + r.IntN(500)
+		for step := 0; step < 3000; step++ {
+			switch op := r.IntN(100); {
+			case op < 55:
+				k := r.IntN(keySpace)
+				e, created := s.GetOrCreate(k)
+				if created == ref[k] {
+					t.Fatalf("seed %d step %d: GetOrCreate(%d) created=%v, live=%v", seed, step, k, created, ref[k])
+				}
+				*e = k
+				ref[k] = true
+			case op < 70:
+				k := r.IntN(keySpace)
+				s.Delete(k)
+				delete(ref, k)
+			case op < 71:
+				s.Clear()
+				clear(ref)
+			case op < 75:
+				compare = compares[r.IntN(len(compares))]
+			default:
+				want := make([]int, 0, len(ref))
+				for k := range ref {
+					want = append(want, k)
+				}
+				slices.SortFunc(want, compare)
+				limit := len(want)
+				if r.IntN(4) == 0 && limit > 0 {
+					limit = r.IntN(limit) // early exit
+				}
+				got := make([]int, 0, limit)
+				s.RangeSorted(compare, func(k int, e *int) bool {
+					if *e != k || s.Get(k) != e {
+						t.Fatalf("seed %d step %d: key %d visited with entry %p (%d), Get gives %p", seed, step, k, e, *e, s.Get(k))
+					}
+					got = append(got, k)
+					return len(got) < limit
+				})
+				if limit == 0 {
+					// A pass always visits its first key; f stops it.
+					got = got[:0]
+				}
+				if !slices.Equal(got, want[:limit]) {
+					t.Fatalf("seed %d step %d: RangeSorted visited %v, want %v", seed, step, got, want[:limit])
+				}
+			}
+		}
+	}
+}
+
+// TestRangeSortedSteadyStateAllocFree: once a pass has sorted the keys,
+// a pass over an unchanged key set is a walk over the kept order and
+// allocates nothing, however large the map.
+func TestRangeSortedSteadyStateAllocFree(t *testing.T) {
+	s := NewMap[int64, int64]()
+	for i := int64(0); i < 10000; i++ {
+		e, _ := s.GetOrCreate((i * 7919) % 10007)
+		*e = i
+	}
+	var sum int64
+	pass := func() {
+		s.RangeSorted(cmp.Compare[int64], func(k int64, e *int64) bool {
+			sum += *e
+			return true
+		})
+	}
+	pass()
+	if avg := testing.AllocsPerRun(50, pass); avg != 0 {
+		t.Errorf("steady-state RangeSorted allocates %.2f/op, want 0", avg)
+	}
+	// Updating values in place keeps the cache: it tracks keys, not
+	// values.
+	for k := int64(0); k < 100; k++ {
+		*s.Get((k * 7919) % 10007) = -1
+	}
+	if avg := testing.AllocsPerRun(50, pass); avg != 0 {
+		t.Errorf("RangeSorted after value updates allocates %.2f/op, want 0", avg)
 	}
 }
